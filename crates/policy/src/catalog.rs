@@ -45,17 +45,45 @@ impl fmt::Display for RegisteredExpression {
     }
 }
 
+/// FNV-1a offset basis: the content epoch of an empty catalog.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x1000_0000_01b3;
+
+/// Extend a content epoch by one expression: FNV-1a over its canonical
+/// display form, then a `0xff` separator byte.
+fn fold_epoch(mut h: u64, e: &RegisteredExpression) -> u64 {
+    for b in e.to_string().bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h ^= 0xff;
+    h.wrapping_mul(FNV_PRIME)
+}
+
 /// All dataflow policies known to the deployment. Populated offline by the
 /// data officers (Figure 2), read at optimization time by the policy
 /// evaluator.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PolicyCatalog {
     expressions: Vec<RegisteredExpression>,
+    /// The content hash of `expressions`, extended by every `register`
+    /// so that reading the epoch never re-renders the catalog.
+    content_epoch: u64,
     /// When the catalog is a snapshot materialized from a versioned
     /// catalog log, the log's deterministic chain epoch overrides the
     /// content hash — so revoke-then-regrant can never silently return
     /// to an old epoch and resurrect stale checkpoints or memo verdicts.
     pinned_epoch: Option<u64>,
+}
+
+impl Default for PolicyCatalog {
+    fn default() -> PolicyCatalog {
+        PolicyCatalog {
+            expressions: Vec::new(),
+            content_epoch: FNV_OFFSET,
+            pinned_epoch: None,
+        }
+    }
 }
 
 impl PolicyCatalog {
@@ -74,12 +102,14 @@ impl PolicyCatalog {
             .map(|f| f.name.clone())
             .collect();
         let id = self.expressions.len();
-        self.expressions.push(RegisteredExpression {
+        let registered = RegisteredExpression {
             id,
             expr,
             attrs,
             table_attrs,
-        });
+        };
+        self.content_epoch = fold_epoch(self.content_epoch, &registered);
+        self.expressions.push(registered);
         Ok(id)
     }
 
@@ -90,6 +120,7 @@ impl PolicyCatalog {
     pub(crate) fn from_registered(expressions: Vec<RegisteredExpression>) -> PolicyCatalog {
         debug_assert!(expressions.iter().enumerate().all(|(i, e)| e.id == i));
         PolicyCatalog {
+            content_epoch: expressions.iter().fold(FNV_OFFSET, fold_epoch),
             expressions,
             pinned_epoch: None,
         }
@@ -125,22 +156,14 @@ impl PolicyCatalog {
     /// be resumed under a different one: a changed catalog changes every
     /// fingerprint, and every lookup misses.
     pub fn epoch(&self) -> u64 {
-        self.pinned_epoch.unwrap_or_else(|| self.content_epoch())
+        self.pinned_epoch.unwrap_or(self.content_epoch)
     }
 
-    /// The content hash itself, ignoring any pinned log epoch.
+    /// The content hash itself, ignoring any pinned log epoch: FNV-1a
+    /// over each expression's canonical display form, maintained as the
+    /// expressions are registered.
     pub fn content_epoch(&self) -> u64 {
-        // FNV-1a over each expression's canonical display form.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for e in &self.expressions {
-            for b in e.to_string().bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-            h ^= 0xff;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
+        self.content_epoch
     }
 
     /// Pin the catalog's epoch to a versioned-log chain epoch. Set by
@@ -254,6 +277,104 @@ mod tests {
         assert_ne!(a.epoch(), b.epoch(), "registering must change the epoch");
         b.register(expr(), &schema()).unwrap();
         assert_eq!(a.epoch(), b.epoch(), "same content, same epoch");
+    }
+
+    /// Distinct expressions over `t`, in registration order.
+    fn sample_exprs() -> Vec<PolicyExpression> {
+        vec![
+            PolicyExpression::basic(
+                TableRef::bare("t"),
+                ShipAttrs::list(["a"]),
+                LocationPattern::Star,
+                None,
+            ),
+            PolicyExpression::basic(
+                TableRef::qualified("db-1", "t"),
+                ShipAttrs::Star,
+                LocationPattern::Star,
+                None,
+            ),
+            PolicyExpression::aggregate(
+                TableRef::bare("t"),
+                ShipAttrs::list(["a"]),
+                [AggFunc::Sum],
+                ["b".to_string()],
+                LocationPattern::Star,
+                None,
+            ),
+        ]
+    }
+
+    /// The content epoch recomputed from scratch: FNV-1a over every
+    /// expression's display line, each followed by a `0xff` byte.
+    fn epoch_from_scratch(cat: &PolicyCatalog) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for line in cat.expressions().iter().map(|e| e.to_string()) {
+            for b in line.bytes().chain([0xff]) {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x1000_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn cached_epoch_matches_a_fold_from_scratch_after_every_register() {
+        let mut cat = PolicyCatalog::new();
+        assert_eq!(cat.content_epoch(), epoch_from_scratch(&cat));
+        for expr in sample_exprs() {
+            let before = cat.epoch();
+            cat.register(expr, &schema()).unwrap();
+            assert_ne!(cat.epoch(), before);
+            assert_eq!(cat.content_epoch(), epoch_from_scratch(&cat));
+            assert_eq!(cat.epoch(), cat.content_epoch());
+        }
+    }
+
+    #[test]
+    fn a_clone_that_registers_more_diverges_from_its_original() {
+        let mut original = PolicyCatalog::new();
+        let mut exprs = sample_exprs();
+        let last = exprs.pop().unwrap();
+        for expr in exprs {
+            original.register(expr, &schema()).unwrap();
+        }
+        let epoch = original.epoch();
+        let mut clone = original.clone();
+        assert_eq!(clone.epoch(), epoch);
+        clone.register(last, &schema()).unwrap();
+        assert_ne!(clone.epoch(), epoch);
+        assert_eq!(clone.content_epoch(), epoch_from_scratch(&clone));
+        assert_eq!(original.epoch(), epoch, "the original keeps its epoch");
+        assert_eq!(original.content_epoch(), epoch_from_scratch(&original));
+    }
+
+    #[test]
+    fn from_registered_reproduces_the_registered_epoch() {
+        let mut cat = PolicyCatalog::new();
+        for expr in sample_exprs() {
+            cat.register(expr, &schema()).unwrap();
+        }
+        let rebuilt = PolicyCatalog::from_registered(cat.expressions().to_vec());
+        assert_eq!(rebuilt.content_epoch(), cat.content_epoch());
+        assert_eq!(rebuilt.epoch(), cat.epoch());
+        let empty = PolicyCatalog::from_registered(Vec::new());
+        assert_eq!(empty.epoch(), PolicyCatalog::new().epoch());
+    }
+
+    #[test]
+    fn pin_epoch_overrides_the_content_epoch() {
+        let mut cat = PolicyCatalog::new();
+        let mut exprs = sample_exprs().into_iter();
+        cat.register(exprs.next().unwrap(), &schema()).unwrap();
+        let content = cat.content_epoch();
+        cat.pin_epoch(0x5eed);
+        assert_eq!(cat.epoch(), 0x5eed);
+        assert_eq!(cat.content_epoch(), content);
+        // Registering moves the content hash, never the pin.
+        cat.register(exprs.next().unwrap(), &schema()).unwrap();
+        assert_eq!(cat.epoch(), 0x5eed);
+        assert_eq!(cat.content_epoch(), epoch_from_scratch(&cat));
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl<'a> PolicyEvaluator<'a> {
 
     /// [`PolicyEvaluator::new`] with a shared [`ImplicationMemo`]: line-3
     /// implication verdicts are served from (and recorded into) the memo,
-    /// keyed by predicate fingerprint × expression id under the catalog's
+    /// keyed by query predicate × expression id under the catalog's
     /// current epoch. Evaluators across AR1–AR4, plan enumeration, and
     /// failover re-plans may share one memo; verdicts transfer because
     /// the prover is pure.
@@ -138,7 +138,7 @@ impl<'a> PolicyEvaluator<'a> {
             // Line 3: the implication test, memoized when a memo is
             // attached (the prover is pure, so cached verdicts are exact).
             let implied = match &memo_key {
-                Some((m, epoch, fp)) => m.check(*epoch, *fp, e.id, || {
+                Some((m, epoch, fp)) => m.check(*epoch, *fp, q.predicate.as_ref(), e.id, || {
                     implies_opt(q.predicate.as_ref(), e.expr.predicate.as_ref())
                 }),
                 None => implies_opt(q.predicate.as_ref(), e.expr.predicate.as_ref()),

@@ -1,7 +1,7 @@
 //! Epoch-keyed cache of optimized located plans.
 //!
 //! The PR-5 `ImplicationMemo` caches single policy-implication *verdicts*
-//! keyed by predicate fingerprint × expression id × catalog epoch. This
+//! keyed by query predicate × expression id × catalog epoch. This
 //! module applies the same idea one level up: it caches whole
 //! [`OptimizedQuery`]s (the located physical plan plus its annotated
 //! traits) keyed by

@@ -267,9 +267,6 @@ struct Job {
 struct TenantState {
     name: String,
     engine: Arc<Engine>,
-    /// Cached `policies().epoch()` so the hot path never re-hashes the
-    /// catalog; refreshed by `update_tenant_policies`.
-    epoch: u64,
     /// The tenant's replicated catalog service: every policy change is a
     /// log append here, and its churn signal reaches in-flight queries.
     churn: Arc<CatalogService>,
@@ -449,7 +446,6 @@ impl QueryService {
         topology: NetworkTopology,
         config: TenantConfig,
     ) -> TenantId {
-        let epoch = policies.epoch();
         // The tenant's catalog log starts at the registered policy set;
         // the first site (in canonical order) coordinates replication.
         let coordinator = catalog
@@ -465,7 +461,8 @@ impl QueryService {
         ));
         let pin = churn.head();
         debug_assert_eq!(
-            pin.epoch, epoch,
+            pin.epoch,
+            policies.epoch(),
             "base log epoch must match the frozen catalog's"
         );
         let engine = Arc::new(Engine::new(catalog, policies, topology));
@@ -473,7 +470,6 @@ impl QueryService {
         st.tenants.push(TenantState {
             name: name.into(),
             engine,
-            epoch,
             churn,
             pin,
             last_revoke_seq: 0,
@@ -614,7 +610,6 @@ impl QueryService {
                 .get_mut(tenant.0)
                 .ok_or_else(|| GeoError::Execution(format!("unknown tenant #{}", tenant.0)))?;
             ten.engine = new_engine;
-            ten.epoch = head.epoch;
             ten.pin = head;
             if revoke_seq > 0 {
                 ten.last_revoke_seq = ten.last_revoke_seq.max(revoke_seq);
@@ -648,7 +643,7 @@ impl QueryService {
         let st = self.shared.state.lock().unwrap();
         st.tenants
             .get(tenant.0)
-            .map(|t| t.epoch)
+            .map(|t| t.engine.policies().epoch())
             .ok_or_else(|| GeoError::Execution(format!("unknown tenant #{}", tenant.0)))
     }
 

@@ -31,6 +31,10 @@ cargo build --release "${pkg_flags[@]}" --benches
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> benchmark package tests (perfbench/ is its own workspace, so" \
+     "the workspace run above never builds it; release)"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> columnar differential suite: row vs vectorized engines," \
      "both runtimes, all fault schedules (release)"
 cargo test -q -p geoqp-bench --release --test columnar_differential
